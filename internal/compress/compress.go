@@ -398,6 +398,25 @@ func quickselectTopK(v []float32, idx []int32, k int) {
 	}
 }
 
+// KthLargestMagnitude returns the k-th largest |v| (0-based: k entries
+// precede it) for 0 ≤ k < len(v), in O(n) expected time — the top-k
+// quickselect above, shared with magnitude pruning's threshold.
+func KthLargestMagnitude(v []float32, k int) float32 {
+	idx := make([]int32, len(v))
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	quickselectTopK(v, idx, k)
+	// idx[:k] precedes every entry of idx[k:]; the k-th is the first of those.
+	kth := idx[k]
+	for _, i := range idx[k+1:] {
+		if topKLess(v, i, kth) {
+			kth = i
+		}
+	}
+	return abs32(v[kth])
+}
+
 func abs32(v float32) float32 {
 	if v < 0 {
 		return -v

@@ -364,9 +364,10 @@ func LoadBench(path string) (*BenchReport, error) {
 }
 
 // CompareBench diffs cur against base and returns one line per regression:
-// entries whose calibration-normalized wall time grew by more than tol.
-// Entries missing from either report are ignored (new benchmarks must not
-// fail against old baselines). The caller treats a non-empty result as a CI
+// entries whose calibration-normalized wall time grew by more than tol, and
+// baseline entries missing from cur (a dropped benchmark must not slip out
+// of the gate). Entries only cur has are ignored, so new benchmarks pass
+// against old baselines. The caller treats a non-empty result as a CI
 // failure.
 func CompareBench(base, cur *BenchReport, tol float64) []string {
 	norm := 1.0
@@ -376,6 +377,12 @@ func CompareBench(base, cur *BenchReport, tol float64) []string {
 		}
 	}
 	var regressions []string
+	for _, b := range base.Entries {
+		if _, ok := cur.Entry(b.Name); !ok {
+			regressions = append(regressions, fmt.Sprintf(
+				"%s: in the baseline but missing from this run", b.Name))
+		}
+	}
 	for _, c := range cur.Entries {
 		if c.Name == BenchCalibration {
 			continue

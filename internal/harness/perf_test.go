@@ -2,6 +2,7 @@ package harness
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -73,7 +74,7 @@ func TestCompareBenchNormalizesByCalibration(t *testing.T) {
 	}
 }
 
-func TestCompareBenchIgnoresNewAndMissingEntries(t *testing.T) {
+func TestCompareBenchIgnoresNewFlagsMissingEntries(t *testing.T) {
 	t.Parallel()
 	base := &BenchReport{Entries: []BenchEntry{
 		{Name: "compose-1024", Seconds: 0.020},
@@ -83,7 +84,13 @@ func TestCompareBenchIgnoresNewAndMissingEntries(t *testing.T) {
 		{Name: "compose-1024", Seconds: 0.020},
 		{Name: "brand-new-bench", Seconds: 99},
 	}}
+	regs := CompareBench(base, cur, BenchTolerance)
+	if len(regs) != 1 || !strings.HasPrefix(regs[0], "retired-bench:") {
+		t.Fatalf("want exactly the missing baseline entry flagged, got %v", regs)
+	}
+	// With the baseline entry present again, the new entry alone passes.
+	cur.Entries = append(cur.Entries, BenchEntry{Name: "retired-bench", Seconds: 0.005})
 	if regs := CompareBench(base, cur, BenchTolerance); len(regs) != 0 {
-		t.Fatalf("unmatched entries must not regress: %v", regs)
+		t.Fatalf("entries new in the current run must not regress: %v", regs)
 	}
 }

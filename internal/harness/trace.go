@@ -134,6 +134,11 @@ func traceReplay(run *obs.RunTrace, alg collective.Algorithm, res *core.Result, 
 			end := launch + coster.cost(op, launch)
 			name, args := opSpan(op)
 			format, quoteArgs := quoter.decide(op, launch)
+			if format == "" {
+				// Block-sparse ops record no wire format; the op itself is
+				// the static decision.
+				format = name
+			}
 			for r := range scheds {
 				from, dur := scheds[r].WaitInterval(op.Bucket, streamFree, launch)
 				if dur > 0 {

@@ -84,6 +84,51 @@ func TestTraceRunEndMatchesSimSeconds(t *testing.T) {
 	}
 }
 
+// TestTraceBlockSparseDecisionsAreNamed traces a scheme whose ops carry no
+// wire format (omnireduce's block-sparse all-reduce): every decision instant
+// must still be named, so the export passes validation.
+func TestTraceBlockSparseDecisionsAreNamed(t *testing.T) {
+	skipIfShort(t)
+	t.Parallel()
+	opt := quickOpts()
+	opt.defaults()
+	job := trainJob("trace-block-sparse", QuickWorkloads()[0], "omnireduce", opt)
+	res, err := testEngine.Run(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blockSparse := 0
+	for _, iter := range res.CommLog.Iters {
+		for _, op := range iter {
+			if op.Kind == core.OpBlockSparse {
+				blockSparse++
+			}
+		}
+	}
+	if blockSparse == 0 {
+		t.Fatal("omnireduce log records no block-sparse op")
+	}
+
+	tr := obs.NewTracer()
+	TraceRun(tr, job.Label, job.Config, res)
+	raw, err := tr.Build().JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.Validate(raw); err != nil {
+		t.Fatalf("trace fails validation: %v", err)
+	}
+	named := 0
+	for _, ev := range decodeTrace(t, raw).TraceEvents {
+		if ev.Cat == "decision" && ev.Name == "block-sparse" {
+			named++
+		}
+	}
+	if want := blockSparse * job.Config.World; named != want {
+		t.Fatalf("%d block-sparse decision instants, want %d (ops × world)", named, want)
+	}
+}
+
 // TestTraceDeterministicAcrossParallelism is satellite 3's contract: the
 // same experiment traced under different engine budgets exports
 // byte-identical JSON, and tracing never perturbs the report.

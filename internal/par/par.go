@@ -16,14 +16,15 @@
 //
 // Nested-dispatch policy: a chunk function may itself call For/ForChunks
 // (an attention layer parallelized over samples calls matmul kernels that
-// chunk over rows). A dispatch issued from a pool worker runs entirely
-// inline on that worker — the partition is identical, only the placement
-// changes — so workers never block feeding or waiting on the queue and the
-// pool cannot deadlock or oversubscribe regardless of how rank goroutines ×
-// engine jobs × kernels stack. Dispatches from non-worker goroutines that
-// find the queue full likewise fall back to running the chunk inline, which
-// keeps every caller wait-free except for joining chunks that workers are
-// guaranteed to drain.
+// chunk over rows). Every chunked dispatch is a job whose chunks are claimed
+// from one atomic counter. The dispatching goroutine claims and runs chunks
+// until none are left, then waits only for chunks another goroutine already
+// claimed and is running; idle pool workers are offered help tokens and
+// claim from the same counter. A dispatcher therefore never depends on an
+// idle worker to make progress, so a dispatch nested inside a chunk can
+// always finish alone — the pool cannot deadlock however rank goroutines ×
+// engine jobs × kernels stack, and nobody runs unrelated work while waiting.
+// Which goroutine runs a chunk never changes the chunk's ordinal or range.
 package par
 
 import (
@@ -55,57 +56,52 @@ func SetBudget(n int) {
 // Budget returns the current chunk budget.
 func Budget() int { return int(budget.Load()) }
 
-// pool is a fixed set of worker goroutines sized once to GOMAXPROCS; For
-// feeds it chunks. A persistent pool keeps steady-state iterations free of
-// goroutine churn.
+// pool is a fixed set of worker goroutines sized once to GOMAXPROCS; a
+// dispatch sends it help tokens. A persistent pool keeps steady-state
+// iterations free of goroutine churn.
 var (
 	poolOnce sync.Once
-	poolCh   chan poolTask
-	// workerIDs holds the goroutine ids of the pool workers, so a dispatch
-	// can detect that it is nested inside a chunk function and run inline.
-	workerIDs sync.Map // uint64 → struct{}
+	poolCh   chan *job
 )
-
-type poolTask struct {
-	// fn is the dispatch's chunk function itself (not a per-chunk closure),
-	// so enqueueing c chunks allocates once per dispatch, not once per chunk.
-	fn            func(chunk, lo, hi int)
-	chunk, lo, hi int
-	wg            *sync.WaitGroup
-}
 
 func ensurePool() {
 	poolOnce.Do(func() {
 		workers := runtime.GOMAXPROCS(0)
-		poolCh = make(chan poolTask, 4*workers)
+		// Room for several concurrent dispatches' tokens to queue behind
+		// busy workers; when it is full a dispatcher runs its own chunks.
+		poolCh = make(chan *job, 4*workers)
 		for i := 0; i < workers; i++ {
 			go func() {
-				workerIDs.Store(goid(), struct{}{})
-				for t := range poolCh {
-					t.fn(t.chunk, t.lo, t.hi)
-					t.wg.Done()
+				for j := range poolCh {
+					j.run()
 				}
 			}()
 		}
 	})
 }
 
-// goid parses the current goroutine's id from its stack header
-// ("goroutine N [...]"). It costs well under a microsecond with a tiny
-// truncated stack buffer, paid once per chunked dispatch — negligible next
-// to the ≥MinWork of compute a dispatch covers.
-func goid() uint64 {
-	var buf [40]byte
-	n := runtime.Stack(buf[:], false)
-	const header = len("goroutine ")
-	var id uint64
-	for _, c := range buf[header:n] {
-		if c < '0' || c > '9' {
-			break
+// job is one chunked dispatch: c chunks of size items over [0, n), handed
+// out in ordinal order by next; chunks past the end of the range are empty
+// ([n, n)). wg counts chunks not yet finished.
+type job struct {
+	fn         func(chunk, lo, hi int)
+	n, c, size int
+	next       atomic.Int64
+	wg         sync.WaitGroup
+}
+
+// run claims and executes chunks until the job has none left. A help token
+// that arrives after the last claim finds nothing and is dropped.
+func (j *job) run() {
+	for {
+		i := int(j.next.Add(1) - 1)
+		if i >= j.c {
+			return
 		}
-		id = id*10 + uint64(c-'0')
+		lo := min(i*j.size, j.n)
+		j.fn(i, lo, min(lo+j.size, j.n))
+		j.wg.Done()
 	}
-	return id
 }
 
 // chunksFor returns how many contiguous ranges a dispatch splits n items of
@@ -171,46 +167,19 @@ func dispatch(n, c int, fn func(chunk, lo, hi int)) int {
 		return 1
 	}
 	ensurePool()
-	size := (n + c - 1) / c
-	if _, nested := workerIDs.Load(goid()); nested {
-		// Nested dispatch (a chunk function called a kernel): same
-		// partition, executed inline on this worker. See the package comment.
-		for i := 0; i < c; i++ {
-			lo := i * size
-			hi := lo + size
-			if hi > n {
-				hi = n
-			}
-			fn(i, lo, hi)
-		}
-		return c
-	}
-	var wg sync.WaitGroup
+	j := &job{fn: fn, n: n, c: c, size: (n + c - 1) / c}
+	j.wg.Add(c)
+	// Offer up to c-1 helpers without blocking: when the pool is busy the
+	// dispatcher simply claims more chunks itself.
+offer:
 	for i := 0; i < c-1; i++ {
-		lo := i * size
-		hi := lo + size
-		if hi > n {
-			hi = n
-		}
-		// Add before the send: a worker may run the task and Done it before
-		// a post-send Add would execute.
-		wg.Add(1)
 		select {
-		case poolCh <- poolTask{fn: fn, chunk: i, lo: lo, hi: hi, wg: &wg}:
+		case poolCh <- j:
 		default:
-			// Queue full (many rank goroutines dispatching at once): run the
-			// chunk here rather than block the caller on the pool.
-			fn(i, lo, hi)
-			wg.Done()
+			break offer
 		}
 	}
-	// The caller's goroutine does the final chunk instead of idling at the
-	// WaitGroup.
-	lo := (c - 1) * size
-	if lo > n {
-		lo = n
-	}
-	fn(c-1, lo, n)
-	wg.Wait()
+	j.run()
+	j.wg.Wait()
 	return c
 }

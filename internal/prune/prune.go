@@ -12,6 +12,7 @@ import (
 	"math"
 	"sort"
 
+	"pactrain/internal/compress"
 	"pactrain/internal/nn"
 	"pactrain/internal/tensor"
 )
@@ -137,14 +138,12 @@ func MagnitudePrune(m *nn.Model, ratio float64, method Method) (*Mask, error) {
 			if !prunable(p) {
 				continue
 			}
-			for _, v := range p.W.Data() {
-				all = append(all, abs32(v))
-			}
+			all = append(all, p.W.Data()...)
 		}
 		if len(all) == 0 {
 			return mask, nil
 		}
-		th := kthValue(all, int(float64(len(all))*ratio))
+		th := kthMagnitude(all, int(float64(len(all))*ratio))
 		for _, p := range m.Params() {
 			if !prunable(p) {
 				continue
@@ -160,11 +159,7 @@ func MagnitudePrune(m *nn.Model, ratio float64, method Method) (*Mask, error) {
 				continue
 			}
 			w := p.W.Data()
-			mags := make([]float32, len(w))
-			for i, v := range w {
-				mags[i] = abs32(v)
-			}
-			th := kthValue(mags, int(float64(len(w))*ratio))
+			th := kthMagnitude(w, int(float64(len(w))*ratio))
 			keep := mask.Keep[p.Name]
 			for i, v := range w {
 				keep[i] = abs32(v) > th
@@ -183,19 +178,17 @@ func abs32(v float32) float32 {
 	return v
 }
 
-// kthValue returns the k-th smallest value (0-based: k elements are ≤ the
-// returned threshold). Values equal to the threshold are kept by the strict
-// > comparison at the call sites, so ties err toward keeping weights.
-func kthValue(vals []float32, k int) float32 {
+// kthMagnitude returns the k-th smallest |v| (0-based: k magnitudes are ≤
+// the returned threshold). Values equal to the threshold are kept by the
+// strict > comparison at the call sites, so ties err toward keeping weights.
+func kthMagnitude(vals []float32, k int) float32 {
 	if k <= 0 {
 		return -1 // keep everything (all magnitudes are ≥ 0 > -1)
 	}
 	if k >= len(vals) {
 		k = len(vals) - 1
 	}
-	sorted := append([]float32(nil), vals...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	return sorted[k]
+	return compress.KthLargestMagnitude(vals, len(vals)-1-k)
 }
 
 // GraSPScores computes the gradient-flow score of Eq. 4, S = −θ ⊙ (H∇l),

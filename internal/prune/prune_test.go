@@ -1,7 +1,10 @@
 package prune
 
 import (
+	"fmt"
 	"math"
+	"math/rand/v2"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -326,5 +329,49 @@ func TestMethodString(t *testing.T) {
 		LayerMagnitude.String() != "layer-magnitude" ||
 		GraSP.String() != "grasp" {
 		t.Fatal("Method.String broken")
+	}
+}
+
+// sortedKthMagnitude is the reference threshold selection: sort a copy of
+// the magnitudes and index it.
+func sortedKthMagnitude(vals []float32, k int) float32 {
+	if k <= 0 {
+		return -1
+	}
+	if k >= len(vals) {
+		k = len(vals) - 1
+	}
+	mags := make([]float32, len(vals))
+	for i, v := range vals {
+		mags[i] = abs32(v)
+	}
+	sort.Slice(mags, func(i, j int) bool { return mags[i] < mags[j] })
+	return mags[k]
+}
+
+func TestKthMagnitudeMatchesSortOracle(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 11))
+	inputs := map[string][]float32{
+		"all-zero": make([]float32, 100),
+		"single":   {-0.5},
+	}
+	for _, n := range []int{5, 17, 64, 1000} {
+		random := make([]float32, n)
+		ties := make([]float32, n)
+		for i := range random {
+			random[i] = float32(rng.NormFloat64())
+			// Few distinct magnitudes of both signs, so most ranks are ties.
+			ties[i] = float32(rng.IntN(4)) * float32(1-2*rng.IntN(2))
+		}
+		inputs[fmt.Sprintf("random-%d", n)] = random
+		inputs[fmt.Sprintf("ties-%d", n)] = ties
+	}
+	for name, vals := range inputs {
+		n := len(vals)
+		for _, k := range []int{-3, 0, 1, n / 3, n / 2, n - 1, n, n + 5} {
+			if got, want := kthMagnitude(vals, k), sortedKthMagnitude(vals, k); got != want {
+				t.Fatalf("%s k=%d: got %v, sort oracle %v", name, k, got, want)
+			}
+		}
 	}
 }

@@ -292,7 +292,8 @@ func WriteBench(path string, r *BenchReport) error { return harness.WriteBench(p
 func LoadBench(path string) (*BenchReport, error) { return harness.LoadBench(path) }
 
 // CompareBench returns one line per benchmark whose calibration-normalized
-// wall time regressed beyond tol; empty means the lane passes.
+// wall time regressed beyond tol or that the baseline has and cur lacks;
+// empty means the lane passes.
 func CompareBench(base, cur *BenchReport, tol float64) []string {
 	return harness.CompareBench(base, cur, tol)
 }
