@@ -1,9 +1,9 @@
 // Package audit derives a counterfactual decision audit from a recorded
-// training run: it replays the run's CommLog with the per-rank arithmetic of
-// the harness re-coster, and at every controller-driven round reprices the
-// full candidate set with the same pricing arithmetic the adaptive
-// controller used (adaptive.PriceQuotes on a PricingClone of the recorded
-// fabric). The resulting ledger — the cost every candidate *would* have
+// training run: it replays the run's CommLog through the replay kernel
+// (replay.Walk, the same walk the harness re-coster observes), and at every
+// controller-driven round reprices the full candidate set with the same
+// pricing arithmetic the adaptive controller used (adaptive.PriceQuotes on a
+// PricingClone of the recorded fabric). The resulting ledger — the cost every candidate *would* have
 // incurred, round by round — answers the question the decision log alone
 // cannot: was each pick right, and by how much?
 //
@@ -41,7 +41,7 @@ import (
 	"pactrain/internal/core"
 	"pactrain/internal/ddp"
 	"pactrain/internal/netsim"
-	"pactrain/internal/simclock"
+	"pactrain/internal/replay"
 )
 
 // Options configures a replay audit.
@@ -237,75 +237,51 @@ func (a *calAccum) observe(err float64) {
 	a.bins[i]++
 }
 
-// Replay audits one recorded run on the fabric its config describes
-// (Topology defaulting to the Fig. 4 fabric at the config's bottleneck,
-// bandwidth traces applied) — the fabric the controller priced on, which is
-// the only fabric where the recorded decisions replay exactly (DESIGN.md
-// §8). Runs recorded without controller decisions (static schemes) produce
-// a report with zero DecidedRounds.
+// Replay audits one recorded run on the fabric the trainer priced it on
+// (core.Config.Normalize and NewFabric) — the fabric the controller priced
+// on, which is the only fabric where the recorded decisions replay exactly
+// (DESIGN.md §8). Runs recorded without controller decisions (static
+// schemes) produce a report with zero DecidedRounds.
 func Replay(cfg core.Config, res *core.Result, opt Options) (*Report, error) {
 	if res == nil || res.CommLog == nil {
 		return nil, errors.New("audit: run was not recorded (Config.RecordComm)")
 	}
-	if cfg.Topology == nil {
-		bw := cfg.BottleneckBps
-		if bw <= 0 {
-			bw = 1 * netsim.Gbps
-		}
-		cfg.Topology = netsim.Fig4Topology(netsim.Fig4Options{BottleneckBps: bw})
+	if err := cfg.Normalize(); err != nil {
+		return nil, fmt.Errorf("audit: %w", err)
 	}
-	if cfg.Compute.DeviceFLOPS == 0 {
-		cfg.Compute = ddp.A40ComputeModel(cfg.Profile.FLOPsPerSample)
-	}
-	fabric := netsim.NewFabric(cfg.Topology)
-	for _, t := range cfg.Traces {
-		fabric.SetTrace(t)
+	if cfg.Overlap == ddp.OverlapBackward && len(res.CommLog.BucketElems) == 0 {
+		return nil, errors.New("audit: per-bucket overlap replay needs the log's bucket geometry (recorded pre-timeline?)")
 	}
 	cands, err := adaptive.CanonicalCandidates(cfg.AdaptCandidates)
 	if err != nil {
 		cands = adaptive.Formats()
-	}
-	collName, err := collective.CanonicalAlgorithm(cfg.Collective)
-	if err != nil {
-		return nil, fmt.Errorf("audit: %w", err)
 	}
 
 	rep := &Report{
 		Fingerprint:  cfg.Fingerprint(),
 		Scheme:       cfg.Scheme,
 		Model:        cfg.ModelName,
-		Collective:   collName,
+		Collective:   cfg.Collective,
 		World:        cfg.World,
 		Candidates:   cands,
 		MarginBound:  adaptive.Regret(cfg.AdaptMargin),
 		StalenessSec: opt.StalenessSec,
 		Iters:        len(res.CommLog.Iters),
 	}
-	if err := replayLedger(rep, &cfg, res, fabric, opt); err != nil {
+	if err := replayLedger(rep, &cfg, res, cfg.NewFabric(), opt); err != nil {
 		return nil, err
 	}
 	finishReport(rep, opt)
 	return rep, nil
 }
 
-// replayLedger walks the recorded log with the per-rank arithmetic of the
-// harness timeline re-coster — same schedules, same barrier, same in-order
-// stream, live pricing — accumulating the ledger instead of a trace.
+// replayLedger walks the recorded log through the replay kernel
+// (replay.Walk, live pricing) and fills the ledger from every decided op.
 func replayLedger(rep *Report, cfg *core.Config, res *core.Result, fabric *netsim.Fabric, opt Options) error {
 	log := res.CommLog
 	alg := collective.MustAlgorithm(cfg.Collective)
 	hosts := fabric.Topo.Hosts()[:cfg.World]
 	pricing := fabric.PricingClone()
-	var prefix []float64
-	if cfg.Overlap == ddp.OverlapBackward && len(log.BucketElems) > 0 {
-		prefix = simclock.PrefixShares(log.BucketElems)
-	}
-	fwd := cfg.Compute.ForwardSeconds(cfg.BatchSize)
-	bwd := cfg.Compute.BackwardSeconds(cfg.BatchSize)
-	// The trainer prices compute on the actual mini-batch, and a shard whose
-	// size doesn't divide by the batch ends each epoch on a ragged batch —
-	// replaying every iteration at cfg.BatchSize would drift the clock there.
-	plan := batchPlan(cfg.Data.Samples, cfg.World, cfg.BatchSize)
 
 	nnzs := NewNNZTracker()
 	// Only the sparse formats price by mask NNZ; a candidate set without
@@ -322,116 +298,98 @@ func replayLedger(rep *Report, cfg *core.Config, res *core.Result, fabric *netsi
 	prevFormat := make(map[int]string) // bucket -> last decided format
 	openSwitch := make(map[int]int)    // bucket -> index into rep.Switches
 
-	tl := simclock.NewTimeline(cfg.World)
-	scheds := make([]simclock.IterSchedule, cfg.World)
-	comp := simclock.NewIterComposer(scheds)
-	for k, ops := range log.Iters {
-		for r := range scheds {
-			scale := cfg.RankCompute.Scale(r, k)
-			f, b := fwd, bwd
-			if r < len(plan) && len(plan[r]) > 0 {
-				if n := plan[r][k%len(plan[r])]; n != cfg.BatchSize {
-					f = cfg.Compute.ForwardSeconds(n)
-					b = cfg.Compute.BackwardSeconds(n)
-				}
-			}
-			scheds[r] = simclock.NewIterSchedule(tl.Clock(r), f*scale, b*scale, prefix)
+	var err error
+	end := replay.Walk(cfg, res, fabric, alg, false, replay.Visitor{Op: func(k int, op core.CommOp, _, launch, actual float64) {
+		if err != nil {
+			return
 		}
-		comp.Reset()
-		commEnd := math.Inf(-1)
-		for _, op := range ops {
-			launch := comp.Barrier(op.Bucket)
-			if commEnd > launch {
-				launch = commEnd
-			}
-			actual := core.CostOp(op, alg, fabric, hosts, launch)
-			commEnd = launch + actual
-
-			if op.Decision == "" {
-				rep.ForcedOps++
-				continue
-			}
-			nnz, ok := nnzs.Observe(op)
-			if !ok && !needNNZ {
-				nnz, ok = 0, true
-			}
-			n := 0
-			if op.Bucket < len(log.BucketElems) {
-				n = log.BucketElems[op.Bucket]
-			}
-			if !ok || n == 0 {
-				rep.SkippedRounds++
-				continue
-			}
-			scale := WireScaleFromOp(op)
-			truth := adaptive.PriceQuotes(alg, pricing, hosts, scale, rep.Candidates, n, nnz, launch)
-			stale := truth
-			if opt.StalenessSec > 0 {
-				t := launch - opt.StalenessSec
-				if t < 0 {
-					t = 0
-				}
-				stale = adaptive.PriceQuotes(alg, pricing, hosts, scale, rep.Candidates, n, nnz, t)
-			}
-			chosen, okChosen := quoteFor(truth, op.Decision)
-			predicted, okStale := quoteFor(stale, op.Decision)
-			if !okChosen || !okStale {
-				return fmt.Errorf("audit: recorded decision %q at iter %d bucket %d is outside the candidate set %v",
-					op.Decision, k, op.Bucket, rep.Candidates)
-			}
-			oracle := cheapest(truth)
-			stalePick := cheapest(stale)
-
-			rep.DecidedRounds++
-			rep.ChosenSec += chosen
-			rep.OracleSec += oracle.CostSeconds
-			rep.ActualSec += actual
-			if stalePick.Format != oracle.Format {
-				rep.MispickRounds++
-			}
-			for _, q := range truth {
-				statics[q.Format] += q.CostSeconds
-			}
-			ca := cals[op.Decision]
-			if ca == nil {
-				ca = &calAccum{}
-				cals[op.Decision] = ca
-			}
-			ca.observe((predicted - actual) / actual)
-
-			// Switch bookkeeping: every decided round extends the bucket's
-			// open switch by the saving its pick banked over the format it
-			// abandoned; a format change closes the old switch and opens a
-			// new one.
-			if prev, seen := prevFormat[op.Bucket]; seen && prev != op.Decision {
-				delete(openSwitch, op.Bucket)
-				rep.Switches = append(rep.Switches, Switch{
-					Iter: k, Bucket: op.Bucket, From: prev, To: op.Decision,
-				})
-				openSwitch[op.Bucket] = len(rep.Switches) - 1
-			}
-			if si, open := openSwitch[op.Bucket]; open {
-				sw := &rep.Switches[si]
-				sw.RoundsHeld++
-				from, _ := quoteFor(truth, sw.From)
-				sw.SavedSec += from - chosen
-			}
-			prevFormat[op.Bucket] = op.Decision
-
-			if opt.IncludeRounds {
-				rep.Rounds = append(rep.Rounds, Round{
-					Iter: k, Bucket: op.Bucket, Format: op.Decision,
-					NNZ: nnz, LaunchSec: launch,
-					Quotes:       truth,
-					PredictedSec: predicted, ActualSec: actual,
-					OracleFormat: oracle.Format, StaleFormat: stalePick.Format,
-				})
-			}
+		if op.Decision == "" {
+			rep.ForcedOps++
+			return
 		}
-		comp.FinishInto(tl, commEnd)
+		nnz, ok := nnzs.Observe(op)
+		if !ok && !needNNZ {
+			nnz, ok = 0, true
+		}
+		n := 0
+		if op.Bucket < len(log.BucketElems) {
+			n = log.BucketElems[op.Bucket]
+		}
+		if !ok || n == 0 {
+			rep.SkippedRounds++
+			return
+		}
+		scale := WireScaleFromOp(op)
+		truth := adaptive.PriceQuotes(alg, pricing, hosts, scale, rep.Candidates, n, nnz, launch)
+		stale := truth
+		if opt.StalenessSec > 0 {
+			t := launch - opt.StalenessSec
+			if t < 0 {
+				t = 0
+			}
+			stale = adaptive.PriceQuotes(alg, pricing, hosts, scale, rep.Candidates, n, nnz, t)
+		}
+		chosen, okChosen := quoteFor(truth, op.Decision)
+		predicted, okStale := quoteFor(stale, op.Decision)
+		if !okChosen || !okStale {
+			err = fmt.Errorf("audit: recorded decision %q at iter %d bucket %d is outside the candidate set %v",
+				op.Decision, k, op.Bucket, rep.Candidates)
+			return
+		}
+		oracle := cheapest(truth)
+		stalePick := cheapest(stale)
+
+		rep.DecidedRounds++
+		rep.ChosenSec += chosen
+		rep.OracleSec += oracle.CostSeconds
+		rep.ActualSec += actual
+		if stalePick.Format != oracle.Format {
+			rep.MispickRounds++
+		}
+		for _, q := range truth {
+			statics[q.Format] += q.CostSeconds
+		}
+		ca := cals[op.Decision]
+		if ca == nil {
+			ca = &calAccum{}
+			cals[op.Decision] = ca
+		}
+		ca.observe((predicted - actual) / actual)
+
+		// Switch bookkeeping: every decided round extends the bucket's
+		// open switch by the saving its pick banked over the format it
+		// abandoned; a format change closes the old switch and opens a
+		// new one.
+		if prev, seen := prevFormat[op.Bucket]; seen && prev != op.Decision {
+			delete(openSwitch, op.Bucket)
+			rep.Switches = append(rep.Switches, Switch{
+				Iter: k, Bucket: op.Bucket, From: prev, To: op.Decision,
+			})
+			openSwitch[op.Bucket] = len(rep.Switches) - 1
+		}
+		if si, open := openSwitch[op.Bucket]; open {
+			sw := &rep.Switches[si]
+			sw.RoundsHeld++
+			from, _ := quoteFor(truth, sw.From)
+			sw.SavedSec += from - chosen
+		}
+		prevFormat[op.Bucket] = op.Decision
+
+		if opt.IncludeRounds {
+			rep.Rounds = append(rep.Rounds, Round{
+				Iter: k, Bucket: op.Bucket, Format: op.Decision,
+				NNZ: nnz, LaunchSec: launch,
+				Quotes:       truth,
+				PredictedSec: predicted, ActualSec: actual,
+				OracleFormat: oracle.Format, StaleFormat: stalePick.Format,
+			})
+		}
+	}})
+	if err != nil {
+		return err
 	}
 
-	rep.ReplayEndSec = tl.Clock(0)
+	rep.ReplayEndSec = end
 	if rep.ReplayEndSec != res.SimSeconds {
 		return fmt.Errorf("audit: replayed clock %v != recorded SimSeconds %v (Δ %g) — the config/fabric is not the one the log was recorded under (DESIGN.md §8)",
 			rep.ReplayEndSec, res.SimSeconds, rep.ReplayEndSec-res.SimSeconds)
@@ -474,33 +432,6 @@ func finishReport(rep *Report, _ Options) {
 			rep.SwitchesPaid++
 		}
 	}
-}
-
-// batchPlan returns each rank's per-iteration sample counts over one epoch:
-// round-robin sharding (data.ShardDataset) gives rank r every world-th
-// sample, and Batches cuts the shard into full batches plus one ragged
-// remainder. Shuffling permutes contents, never sizes, so the sequence is
-// epoch-invariant. A nil plan (unknown sample count) falls back to
-// cfg.BatchSize everywhere.
-func batchPlan(samples, world, batch int) [][]int {
-	if samples <= 0 || world <= 0 || batch <= 0 {
-		return nil
-	}
-	plan := make([][]int, world)
-	for r := range plan {
-		shard := 0
-		if samples > r {
-			shard = (samples - r + world - 1) / world
-		}
-		for rem := shard; rem > 0; rem -= batch {
-			b := batch
-			if rem < batch {
-				b = rem
-			}
-			plan[r] = append(plan[r], b)
-		}
-	}
-	return plan
 }
 
 // quoteFor fetches one format's cost from a quote vector.

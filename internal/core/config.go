@@ -153,8 +153,13 @@ func DefaultConfig(modelName, scheme string) Config {
 	}
 }
 
-// validate normalizes and sanity-checks the configuration.
-func (c *Config) validate() error {
+// Normalize applies every default Run trains under and sanity-checks the
+// result: the Fig. 4 topology at BottleneckBps when Topology is nil, the A40
+// compute model when Compute is unset, and canonical collective, adaptive
+// and straggler knobs. Run, Fingerprint and the replay entry points (trace
+// export, decision audit) all normalize through it, so a replay prices on
+// exactly the configuration the trainer priced on.
+func (c *Config) Normalize() error {
 	if c.World < 1 {
 		return fmt.Errorf("core: world size %d < 1", c.World)
 	}
@@ -220,6 +225,45 @@ func (c *Config) validate() error {
 	return nil
 }
 
+// NewFabric builds a fresh fabric on the config's topology with its bandwidth
+// traces applied — the fabric Run prices on. Call it on a normalized config
+// (Topology set).
+func (c *Config) NewFabric() *netsim.Fabric {
+	fabric := netsim.NewFabric(c.Topology)
+	for _, tr := range c.Traces {
+		fabric.SetTrace(tr)
+	}
+	return fabric
+}
+
+// trainSamples is the training-set size Run actually trains on: Data.Samples
+// padded up to a multiple of World, as DistributedSampler pads, so every
+// shard has the same size and every worker's collective sequence stays in
+// lockstep.
+func (c *Config) trainSamples() int {
+	return ((c.Data.Samples + c.World - 1) / c.World) * c.World
+}
+
+// EpochBatches returns the mini-batch sizes every rank trains in one epoch,
+// in order: Run's padded shard cut into BatchSize batches plus one ragged
+// remainder, as data.Shard.Batches cuts it. Padding makes all shards equal,
+// so one plan serves every rank, and shuffling permutes contents, never
+// sizes, so it serves every epoch: iteration k trains
+// plan[k%len(plan)] samples. Nil when Data.Samples, World or BatchSize is
+// unset (configs that never train, such as synthesized logs); replays then
+// price every iteration at BatchSize.
+func (c *Config) EpochBatches() []int {
+	if c.Data.Samples <= 0 || c.World <= 0 || c.BatchSize <= 0 {
+		return nil
+	}
+	shard := c.trainSamples() / c.World
+	plan := make([]int, 0, (shard+c.BatchSize-1)/c.BatchSize)
+	for rem := shard; rem > 0; rem -= c.BatchSize {
+		plan = append(plan, min(rem, c.BatchSize))
+	}
+	return plan
+}
+
 // TimelineActive reports whether the run uses the per-rank event-timeline
 // features — compute heterogeneity or per-bucket backward overlap. When
 // false, the trainer's clock arithmetic is bit-identical to the historical
@@ -262,7 +306,7 @@ func (c *Config) FabricSensitive() bool {
 	}
 	cands, err := adaptive.CanonicalCandidates(c.AdaptCandidates)
 	if err != nil {
-		return true // invalid lists are rejected by validate anyway
+		return true // invalid lists are rejected by Normalize anyway
 	}
 	return len(cands) > 1
 }

@@ -31,7 +31,7 @@ func (c *Config) Fingerprint() string {
 	cp := *c
 	// Normalize exactly as Run will; an invalid config is fingerprinted
 	// as-is (Run will reject it regardless of what the engine does).
-	_ = cp.validate()
+	_ = cp.Normalize()
 	if !cp.IsPacTrain() {
 		// Only the PacTrain hook and its mask construction read these
 		// (see buildHook and the pruning step in runWorker).
@@ -60,7 +60,7 @@ func (c *Config) Fingerprint() string {
 	w("world", cp.World)
 	w("scheme", cp.Scheme)
 	// The collective algorithm changes only the simulated clock, but the
-	// clock is part of the Result, so it keys the cache. validate already
+	// clock is part of the Result, so it keys the cache. Normalize already
 	// canonicalized "" to "ring"; the ring default is omitted entirely so
 	// pre-existing fingerprints (and warm disk caches) survive unchanged.
 	if cp.Collective != "" && cp.Collective != collective.DefaultAlgorithm {
@@ -71,8 +71,8 @@ func (c *Config) Fingerprint() string {
 	w("pretrain_epochs", cp.PretrainEpochs)
 	w("stable_window", cp.StableWindow)
 	if cp.Scheme == SchemeAdaptive {
-		// validate already normalized the knobs (defaults applied,
-		// candidates canonicalized), so equivalent spellings collapse.
+		// Normalize already applied the knobs' defaults and canonicalized
+		// the candidates, so equivalent spellings collapse.
 		w("adapt_margin", cp.AdaptMargin)
 		w("adapt_dwell", cp.AdaptDwell)
 		w("adapt_candidates", strings.Join(cp.AdaptCandidates, ","))
@@ -97,7 +97,7 @@ func (c *Config) Fingerprint() string {
 		w("overlap_model", "per-bucket")
 	}
 	if cp.RankCompute.Enabled() {
-		// Emitted only when heterogeneity is on (validate canonicalized the
+		// Emitted only when heterogeneity is on (Normalize canonicalized the
 		// knobs first), so homogeneous fingerprints — and every warm disk
 		// cache — are untouched.
 		w("rank_mult", cp.RankCompute.Multipliers)

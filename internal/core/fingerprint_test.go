@@ -23,7 +23,7 @@ func TestFingerprintStable(t *testing.T) {
 		t.Fatal("equal configs fingerprint differently")
 	}
 	// Fingerprinting is a pure function: repeated calls agree and the
-	// config is not mutated (validate runs on a copy).
+	// config is not mutated (Normalize runs on a copy).
 	if a.Topology != nil {
 		t.Fatal("Fingerprint materialized the caller's topology")
 	}

@@ -10,7 +10,6 @@ import (
 	"pactrain/internal/ddp"
 	"pactrain/internal/gse"
 	"pactrain/internal/metrics"
-	"pactrain/internal/netsim"
 	"pactrain/internal/nn"
 	"pactrain/internal/prune"
 	"pactrain/internal/simclock"
@@ -72,18 +71,16 @@ type Result struct {
 // the configured scheme over the simulated fabric, while rank 0 evaluates
 // against simulated time.
 func Run(cfg Config) (*Result, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Normalize(); err != nil {
 		return nil, err
 	}
 	// Equal shard sizes keep every worker's collective sequence in
-	// lockstep, as DistributedSampler's padding does.
-	cfg.Data.Samples = ((cfg.Data.Samples + cfg.World - 1) / cfg.World) * cfg.World
+	// lockstep; EpochBatches derives the replay's batch plan from the same
+	// padding.
+	cfg.Data.Samples = cfg.trainSamples()
 
 	start := time.Now()
-	fabric := netsim.NewFabric(cfg.Topology)
-	for _, tr := range cfg.Traces {
-		fabric.SetTrace(tr)
-	}
+	fabric := cfg.NewFabric()
 	algo, err := collective.AlgorithmByName(cfg.Collective)
 	if err != nil {
 		return nil, err

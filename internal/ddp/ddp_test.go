@@ -7,6 +7,7 @@ import (
 
 	"pactrain/internal/nn"
 	"pactrain/internal/prune"
+	"pactrain/internal/simclock"
 	"pactrain/internal/tensor"
 )
 
@@ -168,22 +169,40 @@ func TestComputeModelPhysics(t *testing.T) {
 	}
 }
 
+// overlapIterTime prices one iteration of two equal buckets, each costing
+// comm seconds, on the per-bucket timeline the trainer builds for mode o:
+// every bucket launches once its gradient is ready and the in-order stream
+// is free, and the iteration ends at the later of backward and the last
+// collective.
+func overlapIterTime(c ComputeModel, batch int, comm float64, o Overlap) float64 {
+	var prefix []float64
+	if o == OverlapBackward {
+		prefix = simclock.PrefixShares([]int{1, 1})
+	}
+	s := simclock.NewIterSchedule(0, c.ForwardSeconds(batch), c.BackwardSeconds(batch), prefix)
+	end := math.Inf(-1)
+	for i := 0; i < 2; i++ {
+		end = math.Max(s.ReadyAt(i), end) + comm
+	}
+	return s.Finish(end)
+}
+
 func TestIterationTimeOverlap(t *testing.T) {
 	c := A40ComputeModel(1e9)
 	comm := 1.0
-	serial := IterationTime(c, 32, comm, OverlapNone)
-	if math.Abs(serial-(c.IterSeconds(32)+comm)) > 1e-12 {
+	serial := overlapIterTime(c, 32, comm, OverlapNone)
+	if math.Abs(serial-(c.IterSeconds(32)+2*comm)) > 1e-12 {
 		t.Fatal("OverlapNone must serialize")
 	}
-	// Huge comm: overlapped time = fwd + comm.
-	big := IterationTime(c, 32, comm, OverlapBackward)
-	if math.Abs(big-(c.ForwardSeconds(32)+comm)) > 1e-12 {
-		t.Fatal("OverlapBackward with large comm should pay fwd+comm")
+	// Huge comm: overlapped time = fwd + first bucket's backward share + comm.
+	big := overlapIterTime(c, 32, comm, OverlapBackward)
+	if math.Abs(big-(c.ForwardSeconds(32)+c.BackwardSeconds(32)/2+2*comm)) > 1e-12 {
+		t.Fatal("OverlapBackward with large comm should pay fwd+half bwd+comm")
 	}
-	// Tiny comm: fully hidden.
-	small := IterationTime(c, 32, 1e-9, OverlapBackward)
-	if math.Abs(small-c.IterSeconds(32)) > 1e-10 {
-		t.Fatal("OverlapBackward with tiny comm should pay compute only")
+	// Tiny comm: all but the last bucket hidden under backward.
+	small := overlapIterTime(c, 32, 1e-9, OverlapBackward)
+	if math.Abs(small-(c.IterSeconds(32)+1e-9)) > 1e-10 {
+		t.Fatal("OverlapBackward with tiny comm should pay compute plus the last bucket")
 	}
 	if OverlapNone.String() != "none" || OverlapBackward.String() != "backward" {
 		t.Fatal("Overlap.String broken")
@@ -191,6 +210,9 @@ func TestIterationTimeOverlap(t *testing.T) {
 }
 
 func TestOverlapParseRoundTrip(t *testing.T) {
+	if OverlapNone.String() != "none" || OverlapBackward.String() != "backward" {
+		t.Fatal("Overlap.String broken")
+	}
 	for _, o := range []Overlap{OverlapNone, OverlapBackward} {
 		got, err := ParseOverlap(o.String())
 		if err != nil || got != o {
@@ -211,20 +233,6 @@ func TestOverlapParseRoundTrip(t *testing.T) {
 		}
 	}()
 	MustOverlap("sideways")
-}
-
-func TestIdealOverlapIsTheClosedForm(t *testing.T) {
-	c := A40ComputeModel(1e9)
-	for _, comm := range []float64{1e-9, 1e-4, 1.0} {
-		got := IdealOverlapIterationTime(c, 32, comm)
-		want := c.ForwardSeconds(32) + math.Max(c.BackwardSeconds(32), comm)
-		if got != want {
-			t.Fatalf("comm %v: ideal overlap %v, want fwd+max(bwd,comm) = %v", comm, got, want)
-		}
-		if IterationTime(c, 32, comm, OverlapBackward) != got {
-			t.Fatal("IterationTime(OverlapBackward) must delegate to the ideal-overlap form")
-		}
-	}
 }
 
 func TestRankComputeScale(t *testing.T) {

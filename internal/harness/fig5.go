@@ -48,7 +48,7 @@ func RunFig5(opt Options) (*Fig5Result, error) {
 	for _, scheme := range schemes {
 		job := trainJob("fig5", w, scheme, opt)
 		job.Config.BottleneckBps = 1 * netsim.Gbps
-		job.Config.Topology = nil // rebuilt by validate at the 1 Gbps bottleneck
+		job.Config.Topology = nil // rebuilt by Normalize at the 1 Gbps bottleneck
 		jobs = append(jobs, job)
 	}
 	results, err := eng.RunAll(jobs)

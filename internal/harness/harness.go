@@ -23,7 +23,6 @@ package harness
 import (
 	"fmt"
 	"io"
-	"math"
 
 	"pactrain/internal/audit"
 	"pactrain/internal/collective"
@@ -35,7 +34,7 @@ import (
 	"pactrain/internal/netsim"
 	"pactrain/internal/nn"
 	"pactrain/internal/obs"
-	"pactrain/internal/simclock"
+	"pactrain/internal/replay"
 )
 
 // Workload couples a paper model with its calibrated training recipe and
@@ -200,8 +199,7 @@ func (o *Options) workloads() []Workload {
 }
 
 // baseConfig builds the core training configuration for a workload/scheme
-// pair. Batch sizes divide the shards exactly so every iteration has the
-// same batch size, which keeps re-costing exact.
+// pair.
 func baseConfig(w Workload, scheme string, opt Options) core.Config {
 	cfg := core.DefaultConfig(w.Model, scheme)
 	cfg.World = opt.World
@@ -216,11 +214,10 @@ func baseConfig(w Workload, scheme string, opt Options) core.Config {
 	}
 	cfg.BatchSize = 8
 	// Round the dataset up so every shard divides into full batches. This
-	// is the invariant the comment above promises: training prices a short
-	// final batch by its actual size while recostCum charges the constant
-	// full-batch compute time, so a non-dividing sample count would break
-	// re-costing exactness. The presets (768/320/test sizes) already
-	// divide; only odd -samples values are padded.
+	// keeps configs, fingerprints and cached runs for odd -samples values
+	// stable; re-costing exactness does not depend on it, since the replay
+	// kernel prices ragged batches as trained (core.Config.EpochBatches).
+	// The presets (768/320/test sizes) already divide.
 	chunk := cfg.World * cfg.BatchSize
 	cfg.Data.Samples = ((cfg.Data.Samples + chunk - 1) / chunk) * chunk
 	cfg.LR = w.LR
@@ -269,133 +266,24 @@ func DisplayName(scheme string) string {
 }
 
 // recostCum rebuilds a recorded run's cumulative simulated clock on an
-// arbitrary fabric (bandwidth traces included): cum[i] is the simulated time
-// after i iterations of compute plus re-priced communication, under the
-// collective algorithm the run's config names. Because training prices
-// collectives with the same cost functions at the same absolute times,
-// re-costing on a fabric identical to the training fabric reproduces the
-// recorded clock exactly (see TestRecostReproducesTraining).
+// arbitrary fabric (bandwidth traces included): cum[i] is rank 0's simulated
+// time after i iterations of compute plus re-priced communication, under
+// the collective algorithm the run's config names. The replay kernel
+// repeats the trainer's arithmetic, so re-costing on a fabric identical to
+// the training fabric reproduces the recorded clock exactly (see
+// TestRecostReproducesTraining and TestReplayAgreesWithTraining).
 func recostCum(res *core.Result, cfg *core.Config, fabric *netsim.Fabric) []float64 {
 	return recostCumWith(collective.MustAlgorithm(cfg.Collective), res, cfg, fabric)
 }
 
 // recostCumWith is recostCum under an explicit collective algorithm — the
 // recorded operations are algorithm-independent, so the collectives
-// experiment prices one training under every algorithm. Configs using the
-// per-rank timeline features (compute heterogeneity, per-bucket overlap)
-// route through the timeline re-coster; everything else keeps the
-// historical serial arithmetic, bit-identical to every cached run.
+// experiment prices one training under every algorithm.
 func recostCumWith(alg collective.Algorithm, res *core.Result, cfg *core.Config, fabric *netsim.Fabric) []float64 {
-	if cfg.TimelineActive() {
-		return recostCumTimeline(alg, res, cfg, fabric)
-	}
-	hosts := fabric.Topo.Hosts()[:cfg.World]
-	computeIter := cfg.Compute.IterSeconds(cfg.BatchSize)
 	cum := make([]float64, len(res.CommLog.Iters)+1)
-	t := 0.0
-	for i, ops := range res.CommLog.Iters {
-		t += computeIter
-		t += core.CostIter(ops, alg, fabric, hosts, t)
-		cum[i+1] = t
-	}
-	return cum
-}
-
-// recostCumTimeline replays a recorded log on per-rank event timelines
-// (DESIGN.md §9): every rank's clock advances by its own heterogeneity- and
-// jitter-scaled compute, each op launches at the barrier over the ranks'
-// bucket-ready times (max of ready clocks — a straggler holds the ring),
-// and each iteration ends at rank 0's compute floor or the last
-// collective's completion, whichever is later. The launches are *derived*
-// from cfg — the same simclock/ddp expressions the trainer evaluates — not
-// read from the recorded LaunchAt, so a log recorded under one straggler
-// profile and overlap mode re-prices exactly under any other (the recorded
-// op sequence is compute-independent for every fabric-insensitive scheme,
-// like it is bandwidth-independent). cum[i] is rank 0's clock after i
-// iterations; on the recorded configuration it reproduces the training
-// clock bit-for-bit (TestStragglerRecostReproducesTraining).
-func recostCumTimeline(alg collective.Algorithm, res *core.Result, cfg *core.Config, fabric *netsim.Fabric) []float64 {
-	return replayTimeline(alg, res, cfg, fabric, false)
-}
-
-// replayTimeline is recostCumTimeline with the pricing strategy explicit:
-// memoize engages per-signature cost memoization (see opCoster), which the
-// replay contract forbids for recorded runs and the cluster-scale pricing
-// path requires. Two structural shortcuts keep cluster-scale replays cheap
-// without touching any float:
-//
-//   - homogeneous ranks (RankCompute disabled — Scale returns exactly 1):
-//     every rank's schedule and clock are identical by induction, so the
-//     whole timeline collapses to rank 0's scalar clock and the O(world)
-//     barrier scans disappear;
-//   - heterogeneous ranks: an IterComposer computes each bucket's barrier
-//     once per iteration (O(world × buckets)) instead of once per op query.
-func replayTimeline(alg collective.Algorithm, res *core.Result, cfg *core.Config, fabric *netsim.Fabric, memoize bool) []float64 {
-	log := res.CommLog
-	hosts := fabric.Topo.Hosts()[:cfg.World]
-	coster := newOpCoster(alg, fabric, hosts, memoize)
-	var prefix []float64
-	if cfg.Overlap == ddp.OverlapBackward {
-		if len(log.BucketElems) == 0 {
-			panic("harness: per-bucket overlap re-costing needs a log with bucket geometry (recorded pre-timeline?)")
-		}
-		prefix = simclock.PrefixShares(log.BucketElems)
-	}
-	fwd := cfg.Compute.ForwardSeconds(cfg.BatchSize)
-	bwd := cfg.Compute.BackwardSeconds(cfg.BatchSize)
-	cum := make([]float64, len(log.Iters)+1)
-
-	if !cfg.RankCompute.Enabled() {
-		// Homogeneous fast path. Scale is exactly 1 for every (rank, iter),
-		// so all ranks share one schedule and one clock; the barrier over
-		// identical ready times is that ready time, and every rank finishes
-		// at the same instant. Bit-identical to the per-rank replay (a max
-		// over equal floats is that float; fwd*1.0 == fwd).
-		clock := 0.0
-		for k, ops := range log.Iters {
-			sched := simclock.NewIterSchedule(clock, fwd, bwd, prefix)
-			commEnd := math.Inf(-1)
-			for _, op := range ops {
-				launch := sched.ReadyAt(op.Bucket)
-				if commEnd > launch {
-					// One in-order communication stream: an op never
-					// launches before the previous one completed.
-					launch = commEnd
-				}
-				commEnd = launch + coster.cost(op, launch)
-			}
-			clock = sched.Finish(commEnd)
-			cum[k+1] = clock
-		}
-		return cum
-	}
-
-	tl := simclock.NewTimeline(cfg.World)
-	scheds := make([]simclock.IterSchedule, cfg.World)
-	comp := simclock.NewIterComposer(scheds)
-	for k, ops := range log.Iters {
-		for r := range scheds {
-			scale := cfg.RankCompute.Scale(r, k)
-			scheds[r] = simclock.NewIterSchedule(tl.Clock(r), fwd*scale, bwd*scale, prefix)
-		}
-		comp.Reset()
-		commEnd := math.Inf(-1)
-		for _, op := range ops {
-			// Barrier is exactly tl.LaunchTime over the ranks' ReadyAt,
-			// computed once per bucket per iteration.
-			launch := comp.Barrier(op.Bucket)
-			if commEnd > launch {
-				// One in-order communication stream: an op never launches
-				// before the previous one completed (within a bucket, the
-				// follow-up op's ready times are already past the first's
-				// end, so this max is exactly the trainer's).
-				launch = commEnd
-			}
-			commEnd = launch + coster.cost(op, launch)
-		}
-		comp.FinishInto(tl, commEnd)
-		cum[k+1] = tl.Clock(0)
-	}
+	replay.Walk(cfg, res, fabric, alg, false, replay.Visitor{
+		End: func(k int, clock float64) { cum[k+1] = clock },
+	})
 	return cum
 }
 

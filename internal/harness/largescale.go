@@ -9,6 +9,7 @@ import (
 	"pactrain/internal/ddp"
 	"pactrain/internal/metrics"
 	"pactrain/internal/netsim"
+	"pactrain/internal/replay"
 )
 
 // The largescale experiment prices PacTrain at the cluster sizes the paper's
@@ -19,11 +20,12 @@ import (
 // hierarchical collective, and how much does a slow rack hurt?), so the
 // experiment synthesizes each scheme's steady-state operation log directly
 // from its wire formats and replays it on per-rank event timelines with
-// memoized op pricing (opCoster). This is the one path that exercises every
-// cluster-scale mechanism at once: the racked topology's path cache, the
-// hierarchical collective over 64 racks, the timeline composer's
-// homogeneous and per-bucket barrier shortcuts, and signature memoization —
-// without them the grid takes minutes; with them, seconds.
+// memoized op pricing (replay.Walk with memoize on). This is the one path
+// that exercises every cluster-scale mechanism at once: the racked
+// topology's path cache, the hierarchical collective over 64 racks, the
+// replay kernel's homogeneous and per-bucket barrier shortcuts, and
+// signature memoization — without them the grid takes minutes; with them,
+// seconds.
 
 // LargeScaleCell is one (scheme, severity) cell of the grid.
 type LargeScaleCell struct {
@@ -177,11 +179,18 @@ func RunLargeScale(opt Options) (*LargeScaleResult, error) {
 				}
 			}
 			// Fresh fabric per cell: byte accounting is meaningless under
-			// memoized pricing and must not leak across cells.
-			cum := replayTimeline(alg, res, &cfg, netsim.NewFabric(topo), true)
-			// Steady state excludes the warm-up iteration (PacTrain's full
-			// sync + bitmap re-share).
-			iter := (cum[len(cum)-1] - cum[1]) / float64(largeScaleIters-1)
+			// memoized pricing and must not leak across cells. Steady state
+			// excludes the warm-up iteration (PacTrain's full sync + bitmap
+			// re-share).
+			var warm float64
+			end := replay.Walk(&cfg, res, netsim.NewFabric(topo), alg, true, replay.Visitor{
+				End: func(k int, clock float64) {
+					if k == 0 {
+						warm = clock
+					}
+				},
+			})
+			iter := (end - warm) / float64(largeScaleIters-1)
 			if sev == 1 {
 				uniformIter = iter
 			}

@@ -9,9 +9,24 @@ import (
 	"pactrain/internal/core"
 	"pactrain/internal/ddp"
 	"pactrain/internal/netsim"
+	"pactrain/internal/replay"
 )
 
-// TestMemoizedReplayMatchesLive pins the opCoster contract: on a
+// walkCum replays a log through replay.Walk and collects rank 0's clock
+// after every iteration, checking it against Walk's returned final clock.
+func walkCum(t *testing.T, alg collective.Algorithm, res *core.Result, cfg *core.Config, fabric *netsim.Fabric, memoize bool) []float64 {
+	t.Helper()
+	cum := make([]float64, len(res.CommLog.Iters)+1)
+	end := replay.Walk(cfg, res, fabric, alg, memoize, replay.Visitor{
+		End: func(k int, clock float64) { cum[k+1] = clock },
+	})
+	if end != cum[len(cum)-1] {
+		t.Fatalf("Walk returned %v, last End clock %v", end, cum[len(cum)-1])
+	}
+	return cum
+}
+
+// TestMemoizedReplayMatchesLive pins the memo contract of replay.Walk: on a
 // time-invariant fabric, memoized pricing agrees with live per-op pricing to
 // accumulation roundoff (the memo replays a duration computed at one launch
 // time at other launch times — see opCoster's doc comment for why that is
@@ -34,8 +49,8 @@ func TestMemoizedReplayMatchesLive(t *testing.T) {
 				Multipliers: netsim.OneSlowRack(racks, hosts, 3),
 			},
 		}
-		live := replayTimeline(alg, res, &cfg, netsim.NewFabric(topo), false)
-		memo := replayTimeline(alg, res, &cfg, netsim.NewFabric(topo), true)
+		live := walkCum(t, alg, res, &cfg, netsim.NewFabric(topo), false)
+		memo := walkCum(t, alg, res, &cfg, netsim.NewFabric(topo), true)
 		if len(live) != len(memo) {
 			t.Fatalf("%s: cum lengths differ: %d vs %d", scheme, len(live), len(memo))
 		}

@@ -9,12 +9,14 @@ import (
 	"runtime"
 	"time"
 
+	"pactrain/internal/collective"
 	"pactrain/internal/compress"
+	"pactrain/internal/core"
 	"pactrain/internal/ddp"
 	"pactrain/internal/netsim"
 	"pactrain/internal/nn"
 	"pactrain/internal/par"
-	"pactrain/internal/simclock"
+	"pactrain/internal/replay"
 	"pactrain/internal/tensor"
 )
 
@@ -104,39 +106,35 @@ func calibrateSpin() {
 	benchSink = x
 }
 
-// composeCase replays largeScaleIters-style iterations of per-bucket barrier
-// composition at the given world size with one slow rank (heterogeneity
-// forces the per-rank path) — the pure incremental-timeline cost
-// (IterComposer + Timeline), no collective pricing. This is the loop that
-// was O(world × ops) before the composer.
+// composeCase walks iters iterations of the largescale bucket geometry
+// through the replay kernel at the given world size with one slow rank
+// (heterogeneity forces the per-rank path). The log's ops carry no payload,
+// so every collective prices to zero without touching the fabric and the
+// entry times the kernel alone — per-rank schedules, per-bucket barrier
+// composition (IterComposer) and the Timeline — which was O(world × ops)
+// before the composer.
 func composeCase(world, iters int) func() {
 	buckets := largeScaleBuckets()
-	prefix := simclock.PrefixShares(buckets)
-	rc := ddp.RankCompute{Multipliers: netsim.OneSlowRank(world, 2)}
-	fwd, bwd := 0.006, 0.012
-	return func() {
-		tl := simclock.NewTimeline(world)
-		scheds := make([]simclock.IterSchedule, world)
-		comp := simclock.NewIterComposer(scheds)
-		var acc float64
-		for k := 0; k < iters; k++ {
-			for r := range scheds {
-				scale := rc.Scale(r, k)
-				scheds[r] = simclock.NewIterSchedule(tl.Clock(r), fwd*scale, bwd*scale, prefix)
-			}
-			comp.Reset()
-			commEnd := math.Inf(-1)
-			for b := range buckets {
-				launch := comp.Barrier(b)
-				if commEnd > launch {
-					launch = commEnd
-				}
-				commEnd = launch + 0.003
-			}
-			comp.FinishInto(tl, commEnd)
-			acc = tl.Clock(0)
+	log := &core.CommLog{}
+	log.SetBuckets(buckets)
+	for k := 0; k < iters; k++ {
+		log.StartIter()
+		for b := range buckets {
+			log.Record(core.CommOp{Kind: core.OpAllReduce, Wire: collective.WireFP32, Bucket: b})
 		}
-		benchSink += uint64(acc)
+	}
+	res := &core.Result{CommLog: log}
+	cfg := core.Config{
+		World:       world,
+		BatchSize:   256,
+		Compute:     largeScaleCompute(),
+		Overlap:     ddp.OverlapBackward,
+		RankCompute: ddp.RankCompute{Multipliers: netsim.OneSlowRank(world, 2)},
+	}
+	fabric := netsim.NewFabric(netsim.FlatTopology(world, netsim.Gbps, 0))
+	alg := collective.MustAlgorithm(collective.DefaultAlgorithm)
+	return func() {
+		benchSink += uint64(replay.Walk(&cfg, res, fabric, alg, false, replay.Visitor{}))
 	}
 }
 

@@ -52,10 +52,12 @@ func TestRecostReproducesTraining(t *testing.T) {
 	}
 }
 
-// TestRecostExactForOddSampleCounts guards the full-batch invariant: a
-// sample count that does not divide into World×BatchSize chunks is padded
-// by baseConfig, because a short final batch would be priced by its actual
-// size during training but at full-batch compute by recostCum.
+// TestRecostExactForOddSampleCounts pins baseConfig's padding: a sample
+// count that does not divide into World×BatchSize chunks is padded to full
+// batches, which keeps configs and fingerprints for odd -samples values
+// stable. Exactness does not depend on it — the replay kernel prices ragged
+// batches as trained (TestReplayAgreesWithTraining) — but the padded run
+// must still re-cost exactly.
 func TestRecostExactForOddSampleCounts(t *testing.T) {
 	skipIfShort(t)
 	t.Parallel()

@@ -1,49 +1,34 @@
 package harness
 
 import (
-	"math"
-
 	"pactrain/internal/adaptive"
 	"pactrain/internal/audit"
 	"pactrain/internal/collective"
 	"pactrain/internal/core"
-	"pactrain/internal/ddp"
 	"pactrain/internal/harness/engine"
 	"pactrain/internal/netsim"
 	"pactrain/internal/obs"
-	"pactrain/internal/simclock"
+	"pactrain/internal/replay"
 )
 
 // This file converts recorded training results into obs spans. Traces are
-// *derived* — the replay below walks a Result's CommLog with exactly the
-// per-rank arithmetic of replayTimeline — rather than collected from live
-// trainer callbacks, for the same reason re-costing replays logs instead of
-// re-running training: the recorded log is the deterministic ground truth,
-// so the exported trace is byte-identical across runs, parallelism budgets,
-// and cache states, and tracing costs nothing when disabled (DESIGN.md §11).
+// *derived* — a visitor of the replay kernel (replay.Walk) turns a Result's
+// CommLog into spans — rather than collected from live trainer callbacks,
+// for the same reason re-costing replays logs instead of re-running
+// training: the recorded log is the deterministic ground truth, so the
+// exported trace is byte-identical across runs, parallelism budgets, and
+// cache states, and tracing costs nothing when disabled (DESIGN.md §11).
 
 // TraceRun replays one recorded run into the tracer's span model on the
-// fabric the run's config describes (Topology defaulting to the Fig. 4
-// fabric at the config's bottleneck, bandwidth traces applied) — the same
-// fabric the trainer priced it on, which is the only fabric an adaptive
-// log replays exactly (DESIGN.md §8). A nil tracer, a nil result, or an
-// unrecorded run (Config.RecordComm false) is a no-op.
+// fabric the trainer priced it on (core.Config.Normalize and NewFabric),
+// which is the only fabric an adaptive log replays exactly (DESIGN.md §8).
+// A nil tracer, a nil result, an unrecorded run (Config.RecordComm false),
+// or a config Run would reject is a no-op.
 func TraceRun(tr *obs.Tracer, label string, cfg core.Config, res *core.Result) {
-	if tr == nil || res == nil || res.CommLog == nil {
+	if tr == nil || res == nil || res.CommLog == nil || cfg.Normalize() != nil {
 		return
 	}
-	if cfg.Topology == nil {
-		bw := cfg.BottleneckBps
-		if bw <= 0 {
-			bw = 1 * netsim.Gbps
-		}
-		cfg.Topology = netsim.Fig4Topology(netsim.Fig4Options{BottleneckBps: bw})
-	}
-	fabric := netsim.NewFabric(cfg.Topology)
-	for _, t := range cfg.Traces {
-		fabric.SetTrace(t)
-	}
-	traceRunOn(tr, label, cfg.Fingerprint(), cfg, res, fabric)
+	traceRunOn(tr, label, cfg.Fingerprint(), cfg, res, cfg.NewFabric())
 }
 
 // traceRunOn is TraceRun with the replay fabric and dedup key explicit: the
@@ -51,11 +36,8 @@ func TraceRun(tr *obs.Tracer, label string, cfg core.Config, res *core.Result) {
 // prices (which the config does not name), keyed by label instead of
 // fingerprint so a cell replay never collides with the base run's trace.
 func traceRunOn(tr *obs.Tracer, label, dedupKey string, cfg core.Config, res *core.Result, fabric *netsim.Fabric) {
-	if tr == nil || res == nil || res.CommLog == nil {
+	if tr == nil || res == nil || res.CommLog == nil || cfg.Normalize() != nil {
 		return
-	}
-	if cfg.Compute.DeviceFLOPS == 0 {
-		cfg.Compute = ddp.A40ComputeModel(cfg.Profile.FLOPsPerSample)
 	}
 	run := tr.StartRun(label, dedupKey, cfg.World, res.CommLog.BucketElems)
 	if run == nil {
@@ -94,44 +76,25 @@ func (o *Options) traceRecost(experiment string, args map[string]any) {
 	o.Tracer.AddMark("recost", full)
 }
 
-// traceReplay walks a recorded log with the per-rank arithmetic of
-// replayTimeline — same schedules, same barrier, same in-order stream, same
-// coster (live pricing, no memo) — and emits spans instead of accumulating
-// a clock. For homogeneous configs this is bit-identical to the scalar fast
-// path (a max over equal floats is that float; fwd*1.0 == fwd), so span
-// edges equal the re-costed clock exactly (TestTraceMatchesRecost).
+// traceReplay walks a recorded log through the replay kernel and emits
+// spans instead of accumulating a clock: each rank's forward and backward
+// compute, the wait between its gradient being ready (and the stream free)
+// and the launch barrier, every collective, and the decision instant that
+// chose its format. Span edges are the kernel's own floats, so they equal
+// the re-costed clock exactly (TestReplayAgreesWithTraining).
 func traceReplay(run *obs.RunTrace, alg collective.Algorithm, res *core.Result, cfg *core.Config, fabric *netsim.Fabric) {
-	log := res.CommLog
-	hosts := fabric.Topo.Hosts()[:cfg.World]
-	coster := newOpCoster(alg, fabric, hosts, false)
-	var prefix []float64
-	if cfg.Overlap == ddp.OverlapBackward && len(log.BucketElems) > 0 {
-		prefix = simclock.PrefixShares(log.BucketElems)
-	}
-	fwd := cfg.Compute.ForwardSeconds(cfg.BatchSize)
-	bwd := cfg.Compute.BackwardSeconds(cfg.BatchSize)
-	quoter := newDecisionQuoter(cfg, fabric, hosts, log.BucketElems)
-
-	tl := simclock.NewTimeline(cfg.World)
-	scheds := make([]simclock.IterSchedule, cfg.World)
-	comp := simclock.NewIterComposer(scheds)
-	for k, ops := range log.Iters {
-		for r := range scheds {
-			scale := cfg.RankCompute.Scale(r, k)
-			scheds[r] = simclock.NewIterSchedule(tl.Clock(r), fwd*scale, bwd*scale, prefix)
-			run.Compute(r, k, tl.Clock(r), fwd*scale, bwd*scale)
-		}
-		comp.Reset()
-		commEnd := math.Inf(-1)
-		for _, op := range ops {
-			launch := comp.Barrier(op.Bucket)
-			if commEnd > launch {
-				launch = commEnd
+	quoter := newDecisionQuoter(cfg, fabric, fabric.Topo.Hosts()[:cfg.World], res.CommLog.BucketElems)
+	var ranks replay.Ranks
+	replay.Walk(cfg, res, fabric, alg, false, replay.Visitor{
+		Iter: func(k int, rs replay.Ranks) {
+			ranks = rs
+			for r := 0; r < rs.World(); r++ {
+				s := rs.Schedule(r)
+				run.Compute(r, k, s.Start, s.Fwd, s.Bwd)
 			}
-			// The stream-free floor for wait spans is the previous op's end;
-			// the first op of an iteration sees an idle (-inf) stream.
-			streamFree := commEnd
-			end := launch + coster.cost(op, launch)
+		},
+		Op: func(k int, op core.CommOp, streamFree, launch, cost float64) {
+			end := launch + cost
 			name, args := opSpan(op)
 			format, quoteArgs := quoter.decide(op, launch)
 			if format == "" {
@@ -139,8 +102,8 @@ func traceReplay(run *obs.RunTrace, alg collective.Algorithm, res *core.Result, 
 				// the static decision.
 				format = name
 			}
-			for r := range scheds {
-				from, dur := scheds[r].WaitInterval(op.Bucket, streamFree, launch)
+			for r := 0; r < ranks.World(); r++ {
+				from, dur := ranks.Schedule(r).WaitInterval(op.Bucket, streamFree, launch)
 				if dur > 0 {
 					run.BarrierWait(r, op.Bucket, k, from, launch)
 				}
@@ -153,10 +116,8 @@ func traceReplay(run *obs.RunTrace, alg collective.Algorithm, res *core.Result, 
 					run.Decision(r, op.Bucket, k, launch, format, nil)
 				}
 			}
-			commEnd = end
-		}
-		comp.FinishInto(tl, commEnd)
-	}
+		},
+	})
 }
 
 // opSpan names a recorded op and assembles its collective-span args.

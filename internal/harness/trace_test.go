@@ -38,7 +38,7 @@ func decodeTrace(t *testing.T, raw []byte) decodedTrace {
 
 // TestTraceRunEndMatchesSimSeconds anchors the replayed spans to the
 // recorded clock: the latest span edge in a run's trace is the run's
-// SimSeconds (the replay is replayTimeline's arithmetic, so the only slack
+// SimSeconds (the spans observe replay.Walk's clock, so the only slack
 // is the seconds→microseconds conversion).
 func TestTraceRunEndMatchesSimSeconds(t *testing.T) {
 	skipIfShort(t)

@@ -1,4 +1,4 @@
-package harness
+package replay
 
 import (
 	"strconv"
@@ -21,15 +21,15 @@ import (
 // That ulp is far below the cost models' fidelity, but it is NOT the
 // bit-exactness contract the replay paths pin (re-costing a recorded run on
 // its own fabric reproduces the training clock byte-for-byte). The memo is
-// therefore strictly opt-in: the historical replay paths price every op
-// live, and only the cluster-scale pricing path (the largescale experiment,
-// whose model is *defined* as memoized pricing) enables it. There, recorded
-// logs repeat a handful of signatures hundreds of times, and memoization
-// turns O(iterations) collective simulations — ~300k link transfers each at
-// 4,096 ranks — into O(distinct signatures).
+// therefore strictly opt-in (Walk's memoize argument): replays of recorded
+// runs price every op live, and only the cluster-scale pricing path (the
+// largescale experiment, whose model is *defined* as memoized pricing)
+// enables it. There, recorded logs repeat a handful of signatures hundreds
+// of times, and memoization turns O(iterations) collective simulations —
+// ~300k link transfers each at 4,096 ranks — into O(distinct signatures).
 //
 // The memo also skips the fabric's byte accounting for repeated ops;
-// re-costing fabrics are throwaway pricing instruments and no harness caller
+// re-costing fabrics are throwaway pricing instruments and no Walk caller
 // reads their counters.
 type opCoster struct {
 	alg    collective.Algorithm

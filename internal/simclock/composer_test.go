@@ -138,7 +138,7 @@ func TestTimelineMaxIncremental(t *testing.T) {
 	}
 }
 
-func BenchmarkComposeIteration(b *testing.B) {
+func BenchmarkIterComposer(b *testing.B) {
 	for _, world := range []int{64, 1024, 4096} {
 		b.Run(fmt.Sprintf("world=%d", world), func(b *testing.B) {
 			buckets := []int{4, 3, 2, 1, 4, 3, 2, 1, 4, 3, 2}

@@ -12,17 +12,16 @@
 //     DDP's reverse-registration model (bucket i becomes ready once forward
 //     plus its prefix share of backward has run);
 //   - a collective's launch time is a barrier: the maximum of the
-//     participants' ready times (LaunchTime), because a straggler holds the
-//     whole ring;
-//   - ComposeIteration serializes a rank's bucket collectives against the
-//     schedule, reproducing the single in-order communication stream real
-//     DDP launches NCCL work on.
+//     participants' ready times (LaunchTime, or IterComposer batched over
+//     an iteration), because a straggler holds the whole ring.
 //
 // The trainer (internal/core) realizes the launch barrier through the
-// cluster rendezvous while workers run concurrently; the re-costing path
-// (internal/harness) replays the same arithmetic sequentially over a
-// recorded log. Both paths evaluate the expressions below with identical
-// operand order, which is what makes re-costing bit-exact (DESIGN.md §9).
+// cluster rendezvous while workers run concurrently; the replay kernel
+// (internal/replay) replays the same arithmetic sequentially over a
+// recorded log, serializing each iteration's collectives on one in-order
+// stream as real DDP launches NCCL work. Both paths evaluate the
+// expressions below with identical operand order, which is what makes
+// re-costing bit-exact (DESIGN.md §9).
 package simclock
 
 import "math"
@@ -196,21 +195,4 @@ func (s IterSchedule) Finish(commEnd float64) float64 {
 		return done
 	}
 	return commEnd
-}
-
-// ComposeIteration serializes n bucket collectives against a single rank's
-// schedule: bucket i launches at max(previous bucket's end, ReadyAt(i)),
-// pays cost(i, launch), and the iteration ends at Finish(last end). It is
-// the one-rank closed form of the timeline model — the trainer realizes the
-// same composition across concurrent workers via the cluster rendezvous.
-func ComposeIteration(s IterSchedule, n int, cost func(bucket int, launch float64) float64) float64 {
-	end := s.Start
-	for i := 0; i < n; i++ {
-		launch := s.ReadyAt(i)
-		if end > launch {
-			launch = end
-		}
-		end = launch + cost(i, launch)
-	}
-	return s.Finish(end)
 }

@@ -62,43 +62,6 @@ func TestIterScheduleReadyAndFinish(t *testing.T) {
 	}
 }
 
-func TestComposeIterationSerializesAgainstReadyTimes(t *testing.T) {
-	t.Parallel()
-	prefix := PrefixShares([]int{1, 1, 2})
-	s := NewIterSchedule(0, 2, 4, prefix)
-	// Bucket costs chosen so bucket 1 must wait on bucket 0's collective
-	// (single in-order stream) while bucket 2 waits on its own gradient.
-	costs := []float64{2, 0.5, 1}
-	end := ComposeIteration(s, 3, func(i int, _ float64) float64 { return costs[i] })
-	// ready = [3, 4, 6]; b0: launch 3 end 5; b1: launch max(5,4)=5 end 5.5;
-	// b2: launch max(5.5,6)=6 end 7; floor 6 → 7.
-	if end != 7 {
-		t.Fatalf("ComposeIteration = %v, want 7", end)
-	}
-	// Cheap communication hides under backward except for the last bucket,
-	// which becomes ready only when backward completes — its cost always
-	// trails the compute floor.
-	cheap := ComposeIteration(s, 3, func(int, float64) float64 { return 0.01 })
-	if want := s.ComputeDone() + 0.01; cheap != want {
-		t.Fatalf("hidden comm end %v, want floor + last bucket = %v", cheap, want)
-	}
-}
-
-// TestComposeIterationSingleBucketClosedForm pins the equivalence ddp's
-// ideal-overlap helper relies on: one bucket ready the moment forward
-// finishes reproduces the fwd + max(bwd, comm) closed form exactly.
-func TestComposeIterationSingleBucketClosedForm(t *testing.T) {
-	t.Parallel()
-	for _, comm := range []float64{0.5, 3, 7} {
-		s := NewIterSchedule(0, 2, 4, []float64{0})
-		got := ComposeIteration(s, 1, func(int, float64) float64 { return comm })
-		want := 2 + math.Max(4, comm)
-		if got != want {
-			t.Fatalf("comm %v: ComposeIteration = %v, want %v", comm, got, want)
-		}
-	}
-}
-
 func TestTimelineLaunchBarrier(t *testing.T) {
 	t.Parallel()
 	tl := NewTimeline(3)
