@@ -251,10 +251,7 @@ func AxpyInto(dst *Tensor, alpha float32, src *Tensor) {
 	if len(dst.data) != len(src.data) {
 		panic("tensor: Axpy volume mismatch")
 	}
-	d, s := dst.data, src.data
-	for i := range d {
-		d[i] += alpha * s[i]
-	}
+	axpy(dst.data, src.data, alpha)
 }
 
 // ScaleInPlace multiplies every element of t by alpha.
@@ -392,8 +389,8 @@ func Dot(a, b *Tensor) float64 {
 // --- Linear algebra -------------------------------------------------------
 
 // MatMul computes C = A × B for A of shape (m,k) and B of shape (k,n),
-// returning a new (m,n) tensor. The kernel is blocked over the inner
-// dimension with the j-loop innermost so it vectorizes well.
+// returning a new (m,n) tensor. It allocates the output and runs
+// MatMulInto; train steps call the Into form on reused scratch instead.
 func MatMul(a, b *Tensor) *Tensor {
 	if a.Rank() != 2 || b.Rank() != 2 {
 		panic("tensor: MatMul requires rank-2 tensors")
@@ -450,10 +447,7 @@ func matMulRows(cd, ad, bd []float32, k, n, lo, hi int) {
 			if av == 0 {
 				continue
 			}
-			bp := bd[p*n : (p+1)*n]
-			for j, bv := range bp {
-				ci[j] += av * bv
-			}
+			axpy(ci, bd[p*n:(p+1)*n], av)
 		}
 	}
 }
@@ -497,10 +491,7 @@ func matMulTransARows(cd, ad, bd []float32, k, m, n, lo, hi int) {
 			if av == 0 {
 				continue
 			}
-			ci := cd[i*n : (i+1)*n]
-			for j, bv := range bp {
-				ci[j] += av * bv
-			}
+			axpy(cd[i*n:(i+1)*n], bp, av)
 		}
 	}
 }
